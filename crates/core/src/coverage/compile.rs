@@ -240,11 +240,13 @@ pub(super) fn membership_chunk(
 ) -> Result<(AccessIntervals, FrameCoeffs), CoreError> {
     let mut intervals = AccessIntervals::default();
     let mut coeffs = FrameCoeffs::with_frames(frames.len());
-    // Open-run tracking: open[tgt] is the interval id whose exit frame
-    // was the previous frame, or OPEN_NONE. Stale ids (exit older than
-    // the previous frame) fail the extension check, so no clearing.
-    const OPEN_NONE: u32 = u32::MAX;
-    let mut open = vec![OPEN_NONE; targets.len()];
+    // Open-run tracking: the previous frame's in-box targets, ascending,
+    // each with its interval. A target's interval extends only if it
+    // was in the box one frame earlier; candidates arrive ascending, so
+    // one forward cursor finds it. The work follows the targets in view,
+    // not the size of the set.
+    let mut prev: Vec<(u32, u32)> = Vec::new();
+    let mut cur: Vec<(u32, u32)> = Vec::new();
     let mut view: Option<BucketView> = None;
     for f in frames {
         let t = epochs[f];
@@ -256,6 +258,7 @@ pub(super) fn membership_chunk(
         }
         let v = view.get_or_insert_with(|| targets.bucket_view(t));
         let fi = f as u32;
+        let mut cursor = 0;
         for idx in targets.candidates_in(v, &subsat, geom.bound_m) {
             if !targets.within_radius_at(idx, &subsat, geom.bound_m, t) {
                 continue;
@@ -263,19 +266,29 @@ pub(super) fn membership_chunk(
             let p = targets.target(idx).position_at(t);
             let (x, y) = frame.project(&p);
             if x.abs() <= geom.half_cross_m && y.abs() <= geom.half_along_m {
-                let j = open[idx] as usize;
-                if open[idx] != OPEN_NONE && intervals.exit[j] + 1 == fi {
-                    intervals.exit[j] = fi;
-                } else {
-                    open[idx] = intervals.len() as u32;
-                    intervals.target.push(idx as u32);
-                    intervals.entry.push(fi);
-                    intervals.exit.push(fi);
+                let tgt = idx as u32;
+                while prev.get(cursor).is_some_and(|&(seen, _)| seen < tgt) {
+                    cursor += 1;
                 }
+                let j = match prev.get(cursor) {
+                    Some(&(seen, j)) if seen == tgt => {
+                        intervals.exit[j as usize] = fi;
+                        j
+                    }
+                    _ => {
+                        intervals.target.push(tgt);
+                        intervals.entry.push(fi);
+                        intervals.exit.push(fi);
+                        intervals.len() as u32 - 1
+                    }
+                };
+                cur.push((tgt, j));
                 coeffs.x.push(x);
                 coeffs.y.push(y);
             }
         }
+        std::mem::swap(&mut prev, &mut cur);
+        cur.clear();
         coeffs.offsets.push(coeffs.x.len() as u32);
     }
     Ok((intervals, coeffs))
@@ -541,5 +554,83 @@ impl CompileCache {
             memo_hits: self.memo_hits.load(Ordering::Relaxed),
             memo_misses: self.memo_misses.load(Ordering::Relaxed),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use eagleeye_datasets::Target;
+    use eagleeye_geo::GeodeticPoint;
+    use eagleeye_orbit::{ConstellationLayout, EpochGrid};
+
+    /// One satellite over three hours crosses the high latitudes on
+    /// consecutive orbits, and a 1,000 km wide box makes targets there
+    /// leave the box and come back within one frame range. Each frame's
+    /// membership, rebuilt from the intervals and coefficients, must
+    /// equal the per-frame query the compile sweep replaces.
+    #[test]
+    fn intervals_rebuild_per_frame_membership_across_revisits() {
+        let targets: TargetSet = (0..600)
+            .map(|i| {
+                let lat = 60.0 + 22.0 * (i % 20) as f64 / 20.0;
+                let lon = -180.0 + 12.0 * (i / 20) as f64;
+                Target::fixed(
+                    GeodeticPoint::from_degrees(lat, lon, 0.0).expect("valid"),
+                    1.0,
+                )
+            })
+            .collect();
+        let layout = ConstellationLayout::with_planes(1, 0, 500_000.0, 97.2_f64.to_radians(), 1)
+            .expect("layout");
+        let grid = EpochGrid::for_horizon(0.0, 3.0 * 3600.0, 15.0);
+        let states = grid
+            .propagate(&layout.ground_track(&layout.satellites()[0]).expect("track"))
+            .expect("states");
+        let geom = CompileGeometry {
+            bound_m: 600_000.0,
+            half_cross_m: 500_000.0,
+            half_along_m: 120_000.0,
+        };
+        let (iv, co) = membership_chunk(&states, grid.epochs(), 0..grid.len(), &targets, &geom)
+            .expect("membership");
+
+        for (f, (state, &t)) in states.iter().zip(grid.epochs()).enumerate() {
+            let subsat = state.subsatellite.with_altitude(0.0).expect("ground");
+            let frame = LocalFrame::new(subsat, state.heading_rad);
+            let want: Vec<(u32, f64, f64)> = targets
+                .query_radius(&subsat, geom.bound_m, t)
+                .into_iter()
+                .filter_map(|i| {
+                    let (x, y) = frame.project(&targets.target(i).position_at(t));
+                    (x.abs() <= geom.half_cross_m && y.abs() <= geom.half_along_m)
+                        .then_some((i as u32, x, y))
+                })
+                .collect();
+            let mut active: Vec<u32> = (0..iv.len())
+                .filter(|&j| iv.entry[j] as usize <= f && f <= iv.exit[j] as usize)
+                .map(|j| iv.target[j])
+                .collect();
+            active.sort_unstable();
+            let span = co.offsets[f] as usize..co.offsets[f + 1] as usize;
+            assert_eq!(active.len(), span.len(), "frame {f}");
+            let got: Vec<(u32, f64, f64)> = active
+                .into_iter()
+                .zip(&co.x[span.clone()])
+                .zip(&co.y[span])
+                .map(|((tgt, &x), &y)| (tgt, x, y))
+                .collect();
+            assert_eq!(got, want, "frame {f}");
+        }
+        assert!(
+            iv.entry.iter().zip(&iv.exit).any(|(a, b)| b > a),
+            "no interval spans two frames"
+        );
+        let mut seen = iv.target.clone();
+        seen.sort_unstable();
+        assert!(
+            seen.windows(2).any(|w| w[0] == w[1]),
+            "no target re-entered the box"
+        );
     }
 }

@@ -616,9 +616,9 @@ impl<'a> CoverageEvaluator<'a> {
         let grid = EpochGrid::for_horizon(0.0, self.options.duration_s, spec.frame_cadence_s);
         let frame_len = spec.frame_length_m();
         let bound = ((swath_m / 2.0).powi(2) + (frame_len / 2.0).powi(2)).sqrt() + 2_000.0;
-        let mut captured = vec![false; self.targets.len()];
 
         if self.options.reference_frame_walk {
+            let captured = vec![false; self.targets.len()];
             return self.swath_membership_reference(
                 &layout, &grid, swath_m, frame_len, bound, report, captured,
             );
@@ -631,20 +631,21 @@ impl<'a> CoverageEvaluator<'a> {
         };
         let sats = layout.satellites();
         let scenario = self.compile.scenario(cache_key, sats.len());
+        // Slots to compile, each with its pool digest for the store.
         let mut missing = Vec::new();
         for i in 0..sats.len() {
             if scenario.track(i).is_some() {
                 self.compile.note_reuse();
-            } else if let Some(track) = self
-                .compile
-                .pool_get(self.track_digest(&sats[i], &geom, "swath"))
-            {
+                continue;
+            }
+            let digest = self.track_digest(&sats[i], &geom, "swath");
+            if let Some(track) = self.compile.pool_get(digest) {
                 // A sibling scenario (typically a what-if fork) already
                 // compiled this exact track; adopt it.
                 self.compile.note_share();
                 scenario.store(i, track);
             } else {
-                missing.push(i);
+                missing.push((i, digest));
             }
         }
         let threads = self.effective_threads();
@@ -657,7 +658,7 @@ impl<'a> CoverageEvaluator<'a> {
                 let rows = pool.try_par_map_observed(
                     &self.options.metrics,
                     &missing,
-                    |_, &i, metrics| {
+                    |_, &(i, _), metrics| {
                         let sw = Stopwatch::start();
                         let states =
                             grid.propagate_observed(&layout.ground_track(&sats[i])?, metrics)?;
@@ -688,11 +689,11 @@ impl<'a> CoverageEvaluator<'a> {
                     let sat_parts: Vec<_> = parts.by_ref().take(ranges.len()).collect();
                     let track = Arc::new(CompiledTrack::assemble(states, sat_parts));
                     self.compile.note_build();
-                    let digest = self.track_digest(&sats[missing[mi]], &geom, "swath");
-                    scenario.store(missing[mi], self.compile.pool_put(digest, track));
+                    let (slot, digest) = missing[mi];
+                    scenario.store(slot, self.compile.pool_put(digest, track));
                 }
             } else {
-                for &i in &missing {
+                for &(i, _) in &missing {
                     self.get_or_compile_track(
                         &scenario,
                         i,
@@ -708,6 +709,10 @@ impl<'a> CoverageEvaluator<'a> {
             }
         }
 
+        // Coverage is the union of the tracks' interval targets, kept
+        // as one bit per target: a 64th of the bytes a `bool` per
+        // target takes, and the totals come from the set bits alone.
+        let mut covered = vec![0u64; self.targets.len().div_ceil(64)];
         for i in 0..sats.len() {
             // Every slot was filled by the compile phase above; falling
             // back to a fresh compile (rather than unwrapping) keeps
@@ -728,10 +733,21 @@ impl<'a> CoverageEvaluator<'a> {
             };
             report.frames_processed += track.states.len();
             for &tgt in &track.intervals.target {
-                captured[tgt as usize] = true;
+                covered[tgt as usize / 64] |= 1 << (tgt % 64);
             }
         }
-        self.finalize_captured(&mut report, &captured);
+        // Ascending target order, as `finalize_captured` sums.
+        let mut value = Vec::new();
+        for (w, &word) in covered.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let tgt = w * 64 + bits.trailing_zeros() as usize;
+                value.push(self.targets.target(tgt).value);
+                bits &= bits - 1;
+            }
+        }
+        report.captured = value.len();
+        report.captured_value = value.iter().sum();
         Ok(report)
     }
 

@@ -54,9 +54,15 @@ fn jitter(seed: u64, i: usize, salt: u64, scale: f64) -> f64 {
 /// Targets strung under the RAAN-0 ground track so the scenarios
 /// actually detect, cluster, schedule, and capture.
 fn targets_for(seed: u64) -> TargetSet {
-    (0..100)
+    strung_targets(seed, 100)
+}
+
+/// `count` targets strung along the RAAN-0 ground track; denser
+/// strings put targets inside the narrow high-resolution swath too.
+fn strung_targets(seed: u64, count: usize) -> TargetSet {
+    (0..count)
         .map(|i| {
-            let lat = -50.0 + 100.0 * i as f64 / 100.0 + jitter(seed, i, 10, 2.0);
+            let lat = -50.0 + 100.0 * i as f64 / count as f64 + jitter(seed, i, 10, 2.0);
             let lon = jitter(seed, i, 11, 3.0);
             Target::fixed(
                 GeodeticPoint::from_degrees(lat, lon, 0.0).expect("valid"),
@@ -358,4 +364,75 @@ fn sparse_tier_delta_matches_cold() {
         single.ilp_sparse_solves > 0,
         "the sparse tier must actually run (ilp/sparse_solves > 0): {single:?}"
     );
+}
+
+/// Swath organizations have no schedule, so a parameter or fault
+/// what-if on one must adopt every compiled track from the pool — the
+/// path that keeps what-ifs on very large target sets cheap — and still
+/// match a cold evaluation of the child at 1 and 4 threads.
+#[test]
+fn swath_what_if_shares_every_track_and_matches_cold() {
+    const SATELLITES: usize = 3;
+    let shares = SATELLITES as u64;
+    let targets = strung_targets(5, 2_000);
+    let mut captured_cases = 0;
+    for parent_cfg in [
+        ConstellationConfig::LowResOnly {
+            satellites: SATELLITES,
+        },
+        ConstellationConfig::HighResOnly {
+            satellites: SATELLITES,
+        },
+    ] {
+        for delta in [
+            ScenarioDelta::NudgeRecall(0.7),
+            ScenarioDelta::FaultWindow {
+                kind: FaultKind::LeaderOutage,
+                start_s: 100.0,
+                end_s: 500.0,
+            },
+        ] {
+            let mut reports = Vec::new();
+            for threads in [1, 4] {
+                let parent = CoverageEvaluator::new(
+                    &targets,
+                    CoverageOptions {
+                        duration_s: 1_000.0,
+                        seed: 5,
+                        threads,
+                        ..CoverageOptions::default()
+                    },
+                );
+                parent.evaluate(&parent_cfg).expect("parent evaluation");
+                let (report, stats) = parent
+                    .what_if(&parent_cfg, &delta)
+                    .expect("what-if evaluation");
+                assert_eq!(
+                    (stats.track_builds, stats.track_shares),
+                    (0, shares),
+                    "{parent_cfg:?} + {delta:?} at threads={threads}: {stats:?}"
+                );
+
+                let (child_cfg, child_opts) =
+                    delta.apply(&parent_cfg, parent.options()).expect("apply");
+                let cold = CoverageEvaluator::new(&targets, child_opts)
+                    .evaluate(&child_cfg)
+                    .expect("cold child");
+                assert!(
+                    report.same_outcome(&cold),
+                    "swath what-if diverged from cold at threads={threads} for \
+                     {parent_cfg:?} + {delta:?}:\nwhat-if: {report:?}\ncold: {cold:?}"
+                );
+                reports.push(report);
+            }
+            assert!(
+                reports[0].same_outcome(&reports[1]),
+                "swath what-if diverged across thread counts for {parent_cfg:?} + {delta:?}"
+            );
+            if reports[0].captured > 0 {
+                captured_cases += 1;
+            }
+        }
+    }
+    assert_eq!(captured_cases, 4, "every swath case must capture targets");
 }

@@ -74,11 +74,15 @@ const BUCKET_S: f64 = 300.0;
 
 /// A set of targets with spatial indexing.
 ///
-/// For static targets a single [`GridIndex`] answers frame-membership
-/// queries. For moving targets the set lazily builds one index per
-/// five-minute time bucket (positions sampled at the bucket
-/// midpoint) and pads queries by the worst-case intra-bucket motion, so
-/// queries stay exact.
+/// For static targets a single lazily-built [`GridIndex`] answers
+/// frame-membership queries in every time bucket. For moving targets the
+/// set lazily builds one index per five-minute time bucket (positions
+/// sampled at the bucket midpoint) and pads queries by the worst-case
+/// intra-bucket motion, so queries stay exact.
+///
+/// The workload fingerprint — [`len`](Self::len) and
+/// [`total_value`](Self::total_value) — is fixed at construction, so
+/// reading it never scans the targets.
 ///
 /// # Example
 ///
@@ -100,16 +104,22 @@ const BUCKET_S: f64 = 300.0;
 pub struct TargetSet {
     targets: Vec<Target>,
     max_speed_m_s: f64,
-    /// Lazily-built per-bucket indices keyed by bucket number.
+    total_value: f64,
+    /// Every target has zero speed, so positions never depend on time
+    /// and all buckets share one index.
+    is_static: bool,
+    /// Lazily-built per-bucket indices keyed by bucket number (a single
+    /// entry, key 0, for static sets).
     // eagleeye-lint: allow(determinism): accessed only by bucket key, never iterated
     bucket_indices: Mutex<HashMap<i64, Arc<GridIndex>>>,
 }
 
 /// A snapshot of the spatial index for one time bucket: the
 /// lazily-built [`GridIndex`] over target positions sampled at the
-/// bucket midpoint, plus the worst-case intra-bucket motion pad that
-/// keeps queries exact. Obtained from [`TargetSet::bucket_view`]; valid
-/// for every query time inside that bucket.
+/// bucket midpoint (one index shared by every bucket of a static set),
+/// plus the worst-case intra-bucket motion pad that keeps queries
+/// exact. Obtained from [`TargetSet::bucket_view`]; valid for every
+/// query time inside that bucket.
 ///
 /// Holding a view lets a caller that sweeps many frames within one
 /// bucket (the coverage compiler's per-segment sweep) take the
@@ -148,10 +158,20 @@ impl BucketView {
 impl TargetSet {
     /// Builds a target set.
     pub fn new(targets: Vec<Target>) -> Self {
-        let max_speed_m_s = targets.iter().map(Target::speed_m_s).fold(0.0, f64::max);
+        // `motion` is unvalidated: a negative speed drifts backwards
+        // along the bearing, so the query pad must use its magnitude.
+        let max_speed_m_s = targets
+            .iter()
+            .map(|t| t.speed_m_s().abs())
+            .fold(0.0, f64::max);
+        let total_value = targets.iter().map(|t| t.value).sum();
+        // eagleeye-lint: allow(float-eq): only an exactly-zero speed keeps positions time-independent; an epsilon would share one index across buckets for slow movers
+        let is_static = targets.iter().all(|t| t.speed_m_s() == 0.0);
         TargetSet {
             targets,
             max_speed_m_s,
+            total_value,
+            is_static,
             // eagleeye-lint: allow(determinism): accessed only by bucket key, never iterated
             bucket_indices: Mutex::new(HashMap::new()),
         }
@@ -201,8 +221,7 @@ impl TargetSet {
         self.targets
             .iter()
             .filter(|t| t.appears_at_s <= horizon_s && t.disappears_at_s >= 0.0)
-            .collect::<Vec<_>>()
-            .len()
+            .count()
     }
 
     /// Returns indices of targets that exist at `t_s` and lie within
@@ -216,12 +235,16 @@ impl TargetSet {
     }
 
     /// The spatial-index view for the time bucket containing `t_s`,
-    /// building the bucket's [`GridIndex`] on first use. Takes the
+    /// building the bucket's [`GridIndex`] on first use. A static set
+    /// builds one index and hands it to every bucket. Takes the
     /// internal index lock once; the returned view queries lock-free.
     pub fn bucket_view(&self, t_s: f64) -> BucketView {
         let bucket = (t_s / BUCKET_S).floor() as i64;
         let pad_m = self.max_speed_m_s * BUCKET_S; // worst-case drift from midpoint, doubled below
         let midpoint_t_s = (bucket as f64 + 0.5) * BUCKET_S;
+        // Zero-speed positions are the same at every sample time, so any
+        // bucket's midpoint builds the one shared index.
+        let key = if self.is_static { 0 } else { bucket };
         // A poisoned lock only means another thread panicked mid-insert;
         // the cache itself is an optimization, so recover the guard.
         let mut map = self
@@ -229,7 +252,7 @@ impl TargetSet {
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         let index = map
-            .entry(bucket)
+            .entry(key)
             .or_insert_with(|| {
                 Arc::new(
                     GridIndex::build(
@@ -289,9 +312,11 @@ impl TargetSet {
         t.exists_at(t_s) && greatcircle::distance_m(center, &t.position_at(t_s)) <= radius_m
     }
 
-    /// Sum of values over all targets.
+    /// Sum of values over all targets, in target order. Computed once
+    /// at construction.
+    #[inline]
     pub fn total_value(&self) -> f64 {
-        self.targets.iter().map(|t| t.value).sum()
+        self.total_value
     }
 }
 
@@ -385,6 +410,54 @@ mod tests {
         let set = TargetSet::new(vec![t]);
         assert!(set.query_radius(&pt(0.0, 0.0), 10_000.0, 0.0).is_empty());
         assert_eq!(set.query_radius(&pt(0.0, 0.0), 10_000.0, 1500.0), vec![0]);
+    }
+
+    #[test]
+    fn static_set_views_share_one_index() {
+        let mut still = Target::fixed(pt(0.0, 0.0), 1.0);
+        still.motion = Some((0.0, 1.0)); // zero speed counts as static
+        let set = TargetSet::new(vec![Target::fixed(pt(10.0, 10.0), 1.0), still]);
+        let views: Vec<BucketView> = [-400.0, 0.0, 450.0, 10_000.0]
+            .iter()
+            .map(|&t| set.bucket_view(t))
+            .collect();
+        for v in &views[1..] {
+            assert!(Arc::ptr_eq(&views[0].index, &v.index));
+        }
+        // Each view still answers only for its own bucket.
+        assert!(views[1].covers(0.0) && !views[1].covers(450.0));
+        assert_eq!(views[2].midpoint_t_s(), 450.0);
+        assert_eq!(views[0].pad_m(), 0.0);
+
+        let mut plane = Target::fixed(pt(0.0, 0.0), 1.0);
+        plane.motion = Some((250.0, 0.0));
+        let moving = TargetSet::new(vec![Target::fixed(pt(10.0, 10.0), 1.0), plane]);
+        let (a, b) = (moving.bucket_view(0.0), moving.bucket_view(450.0));
+        assert!(!Arc::ptr_eq(&a.index, &b.index));
+        // Same bucket, same index.
+        assert!(Arc::ptr_eq(&a.index, &moving.bucket_view(299.0).index));
+    }
+
+    #[test]
+    fn negative_speed_pads_by_magnitude() {
+        let mut t = Target::fixed(pt(0.0, 0.0), 1.0);
+        t.motion = Some((-250.0, 0.0)); // flies south along a north bearing
+        let set = TargetSet::new(vec![t]);
+        assert_eq!(set.max_speed_m_s(), 250.0);
+        // Late in bucket 0 the plane is ~37 km south of its midpoint
+        // sample; an unpadded query would miss it.
+        let p = t.position_at(299.0);
+        assert_eq!(set.query_radius(&p, 1_000.0, 299.0), vec![0]);
+    }
+
+    #[test]
+    fn total_value_is_the_in_order_sum() {
+        for w in crate::Workload::ALL {
+            let set = w.generate_scaled(0.002, 3_600.0, 5);
+            let sum: f64 = set.iter().map(|t| t.value).sum();
+            assert_eq!(set.total_value().to_bits(), sum.to_bits(), "{w}");
+        }
+        assert_eq!(TargetSet::new(Vec::new()).total_value(), 0.0);
     }
 
     #[test]

@@ -10,9 +10,10 @@ use eagleeye_check::{
     check_cases, f64_range, prop_assert, prop_assert_eq, u64_range, usize_range, PropResult,
 };
 use eagleeye_datasets::{
-    AirplaneGenerator, LakeGenerator, LakeSizeBand, OilTankGenerator, ShipGenerator,
+    AirplaneGenerator, LakeGenerator, LakeSizeBand, OilTankGenerator, ShipGenerator, Target,
+    TargetSet,
 };
-use eagleeye_geo::greatcircle;
+use eagleeye_geo::{greatcircle, GeodeticPoint};
 
 const CASES: u32 = 24;
 
@@ -125,6 +126,17 @@ fn tank_farm_invariants() {
     );
 }
 
+/// Brute-force radius query: every target that exists at `t` and lies
+/// within `radius` of `center` at that time, ascending.
+fn brute_force_query(set: &TargetSet, center: &GeodeticPoint, radius: f64, t: f64) -> Vec<usize> {
+    (0..set.len())
+        .filter(|&i| {
+            let tg = set.target(i);
+            tg.exists_at(t) && greatcircle::distance_m(center, &tg.position_at(t)) <= radius
+        })
+        .collect()
+}
+
 /// Radius queries against moving sets agree with brute force at an
 /// arbitrary time.
 #[test]
@@ -144,17 +156,108 @@ fn moving_query_matches_brute_force() {
                 .with_count(count)
                 .with_horizon_s(7_200.0)
                 .generate(seed);
-            let center = eagleeye_geo::GeodeticPoint::from_degrees(lat, lon, 0.0).expect("valid");
+            let center = GeodeticPoint::from_degrees(lat, lon, 0.0).expect("valid");
             let radius = 500_000.0;
-            let got = set.query_radius(&center, radius, t);
-            let want: Vec<usize> = (0..set.len())
-                .filter(|&i| {
-                    let tg = set.target(i);
-                    tg.exists_at(t)
-                        && greatcircle::distance_m(&center, &tg.position_at(t)) <= radius
+            prop_assert_eq!(
+                set.query_radius(&center, radius, t),
+                brute_force_query(&set, &center, radius, t)
+            );
+            Ok(())
+        },
+    );
+}
+
+/// `Target::motion` is unvalidated, so a negative speed (drift
+/// backwards along the bearing) must still be padded for. Every plane's
+/// speed is negated, and the queries are centred on one plane at three
+/// times across its flight, so an under-padded query or a bucket index
+/// sampled at the wrong time misses it.
+#[test]
+fn negative_speed_query_matches_brute_force() {
+    check_cases(
+        CASES,
+        "negative_speed_query_matches_brute_force",
+        (
+            (usize_range(1, 80), u64_range(0, 200)),
+            (
+                f64_range(0.0, 0.33),
+                f64_range(0.33, 0.66),
+                f64_range(0.66, 1.0),
+            ),
+            f64_range(1_000.0, 60_000.0),
+        ),
+        |&((count, seed), (early, mid, late), radius)| {
+            let set: TargetSet = AirplaneGenerator::new()
+                .with_count(count)
+                .with_horizon_s(7_200.0)
+                .generate(seed)
+                .iter()
+                .map(|&tg| Target {
+                    motion: tg.motion.map(|(v, bearing)| (-v, bearing)),
+                    ..tg
                 })
                 .collect();
-            prop_assert_eq!(got, want);
+            let plane = *set.target(seed as usize % set.len());
+            for frac in [early, mid, late] {
+                let t = plane.appears_at_s + frac * (plane.disappears_at_s - plane.appears_at_s);
+                let center = plane.position_at(t);
+                prop_assert_eq!(
+                    set.query_radius(&center, radius, t),
+                    brute_force_query(&set, &center, radius, t)
+                );
+            }
+            Ok(())
+        },
+    );
+}
+
+/// Radius queries against static sets — whose time buckets all share
+/// one spatial index — agree with brute force at query times spread
+/// over buckets before the start, inside a 3 h horizon, and past it.
+/// Some targets carry an explicit zero-speed motion and some exist
+/// only inside a window straddling `t = 0`.
+#[test]
+fn static_query_matches_brute_force() {
+    check_cases(
+        CASES,
+        "static_query_matches_brute_force",
+        (
+            (usize_range(1, 300), u64_range(0, 1000)),
+            (
+                f64_range(-1_000.0, -0.001),
+                f64_range(0.0, 10_799.0),
+                f64_range(10_800.0, 20_000.0),
+            ),
+            f64_range(-60.0, 60.0),
+            f64_range(-170.0, 170.0),
+        ),
+        |&((count, seed), (early, during, late), lat, lon)| {
+            let set: TargetSet = ShipGenerator::new()
+                .with_count(count)
+                .generate(seed)
+                .iter()
+                .enumerate()
+                .map(|(i, &tg)| {
+                    let mut tg = tg;
+                    match i % 3 {
+                        1 => tg.motion = Some((0.0, i as f64)),
+                        2 => {
+                            tg.appears_at_s = -1_500.0;
+                            tg.disappears_at_s = 12_000.0;
+                        }
+                        _ => {}
+                    }
+                    tg
+                })
+                .collect();
+            let center = GeodeticPoint::from_degrees(lat, lon, 0.0).expect("valid");
+            let radius = 1_500_000.0;
+            for t in [during, early, late] {
+                prop_assert_eq!(
+                    set.query_radius(&center, radius, t),
+                    brute_force_query(&set, &center, radius, t)
+                );
+            }
             Ok(())
         },
     );
