@@ -109,12 +109,8 @@ pub fn cluster(
             .collect()),
         ClusteringMethod::Greedy => {
             let candidates = candidates(points, box_w_m, box_h_m);
-            Ok(assemble(
-                points,
-                box_w_m,
-                box_h_m,
-                greedy_cover(points.len(), &candidates),
-            ))
+            let chosen = greedy_cover(points.len(), &candidates);
+            Ok(assemble(points, &candidates, chosen))
         }
         ClusteringMethod::Ilp => {
             let candidates = candidates(points, box_w_m, box_h_m);
@@ -130,7 +126,7 @@ pub fn cluster(
                 )) => greedy_cover(points.len(), &candidates),
                 Err(e) => return Err(e),
             };
-            Ok(assemble(points, box_w_m, box_h_m, chosen))
+            Ok(assemble(points, &candidates, chosen))
         }
     }
 }
@@ -247,17 +243,17 @@ fn ilp_cover(n_points: usize, candidates: &[Candidate]) -> Result<Option<Vec<usi
     ))
 }
 
-/// Builds [`Cluster`]s from chosen candidates, assigning each point to
-/// the first chosen box that covers it and centering each box on its
-/// members' bounding box (any center keeping members inside is valid).
-fn assemble(points: &[(GroundPoint, f64)], w: f64, h: f64, chosen: Vec<usize>) -> Vec<Cluster> {
-    // Re-derive coverage from geometry to stay independent of candidate
-    // bookkeeping.
+/// Builds [`Cluster`]s from the `chosen` indices into `candidates`,
+/// assigning each point to the first chosen box that covers it and
+/// centering each box on its members' bounding box (any center keeping
+/// members inside is valid).
+fn assemble(
+    points: &[(GroundPoint, f64)],
+    candidates: &[Candidate],
+    chosen: Vec<usize>,
+) -> Vec<Cluster> {
     let mut assigned = vec![false; points.len()];
     let mut clusters = Vec::new();
-    // chosen indexes into the candidate list; rebuild candidate geometry
-    // lazily by recomputing coverage.
-    let candidates = candidates(points, w, h);
     for ci in chosen {
         let c = &candidates[ci];
         let members: Vec<usize> = c

@@ -18,7 +18,10 @@
 //! * **solved horizons** — a digest-keyed memo of deterministic
 //!   scheduler results (schedule, solver diagnostics, fault repairs),
 //!   replayed instead of re-solved when a later evaluation presents the
-//!   exact same per-frame scheduling inputs.
+//!   exact same per-frame scheduling inputs;
+//! * **clustered frames** — a digest-keyed memo of each frame's target
+//!   clustering (footprint centers and values), reused instead of
+//!   re-clustered when a later evaluation detects the same points.
 //!
 //! The evaluate phase then sweeps the sorted interval events per frame
 //! ([`IntervalSweep`]), so per-frame membership work is O(targets in
@@ -27,8 +30,9 @@
 //! # Determinism
 //!
 //! Everything cached here is a pure function of its recorded inputs:
-//! membership of `(track, grid, targets, geometry)`, solves of the
-//! digested horizon inputs (frame index, epoch, task list, follower
+//! membership of `(track, grid, targets, geometry)`, clusterings of the
+//! digested detected points (method, box, positions, values), solves of
+//! the digested horizon inputs (frame index, epoch, task list, follower
 //! states, slew/clip/task-cap modifiers). Memo state lives in
 //! `BTreeMap`s (deterministic iteration, though nothing iterates them
 //! into a report) and replaying a memo applies exactly the report
@@ -37,6 +41,8 @@
 //! and the differential suite (`interval_engine_differential.rs`)
 //! assert this on every run.
 
+use crate::clustering::ClusteringMethod;
+use crate::pointing::GroundPoint;
 use crate::schedule::{IlpRunStats, Schedule};
 use crate::CoreError;
 use eagleeye_datasets::{BucketView, TargetSet};
@@ -111,10 +117,15 @@ impl FrameCoeffs {
     }
 }
 
+/// A memoized per-frame clustering: each cluster's footprint center and
+/// value, in `cluster()` order, before the task-cap cut. Members are not
+/// kept; nothing past clustering reads them.
+pub(super) type FrameClusters = Arc<[(GroundPoint, f64)]>;
+
 /// A memoized per-horizon scheduler result: the final schedule (after
 /// any fault repair) plus every report mutation the live solve made, so
 /// replay is observationally identical to re-solving.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(super) struct SolvedHorizon {
     /// Post-repair schedule handed to capture execution.
     pub schedule: Schedule,
@@ -147,7 +158,8 @@ pub(super) enum SolvedOutcome {
 }
 
 /// One satellite's compiled pass: propagated states, access intervals
-/// with projected coefficients, and the horizon-solve memo.
+/// with projected coefficients, and the clustering and horizon-solve
+/// memos.
 #[derive(Debug)]
 pub(super) struct CompiledTrack {
     /// Batch-propagated state per grid epoch.
@@ -158,8 +170,10 @@ pub(super) struct CompiledTrack {
     pub coeffs: FrameCoeffs,
     /// Largest per-frame membership count (scratch preallocation size).
     pub peak_frame_entries: usize,
+    /// Digest-keyed memo of per-frame clusterings.
+    pub clustered: Mutex<BTreeMap<u64, FrameClusters>>,
     /// Digest-keyed memo of deterministic horizon solves.
-    pub solved: Mutex<BTreeMap<u64, SolvedHorizon>>,
+    pub solved: Mutex<BTreeMap<u64, Arc<SolvedHorizon>>>,
 }
 
 impl CompiledTrack {
@@ -207,18 +221,39 @@ impl CompiledTrack {
             intervals,
             coeffs,
             peak_frame_entries,
+            clustered: Mutex::new(BTreeMap::new()),
             solved: Mutex::new(BTreeMap::new()),
         }
     }
 
+    /// Looks up a memoized frame clustering by [`cluster_digest`].
+    pub fn clusters_get(&self, digest: u64) -> Option<FrameClusters> {
+        lock_unpoisoned(&self.clustered).get(&digest).cloned()
+    }
+
+    /// Records a frame clustering for reuse, keeping the incumbent if
+    /// one was recorded first, and returns the recorded clustering.
+    /// First-result-wins matters for the clustering ILP's wall-clock
+    /// limit: a deadline-cut solve falls back to greedy, and every later
+    /// evaluation must reuse whichever result was recorded.
+    pub fn clusters_put(&self, digest: u64, clusters: FrameClusters) -> FrameClusters {
+        lock_unpoisoned(&self.clustered)
+            .entry(digest)
+            .or_insert(clusters)
+            .clone()
+    }
+
     /// Looks up a memoized horizon solve by digest.
-    pub fn solved_get(&self, digest: u64) -> Option<SolvedHorizon> {
+    pub fn solved_get(&self, digest: u64) -> Option<Arc<SolvedHorizon>> {
         lock_unpoisoned(&self.solved).get(&digest).cloned()
     }
 
-    /// Records a horizon solve for replay.
-    pub fn solved_put(&self, digest: u64, solved: SolvedHorizon) {
-        lock_unpoisoned(&self.solved).insert(digest, solved);
+    /// Records a horizon solve for replay, keeping the incumbent if a
+    /// concurrent evaluation recorded one first (see `clusters_put`).
+    pub fn solved_put(&self, digest: u64, solved: Arc<SolvedHorizon>) {
+        lock_unpoisoned(&self.solved)
+            .entry(digest)
+            .or_insert(solved);
     }
 }
 
@@ -352,6 +387,35 @@ impl<'a> IntervalSweep<'a> {
     }
 }
 
+/// Digest of every input [`crate::clustering::cluster`] reads: the
+/// method, the footprint box, and each detected point's position and
+/// (recapture-scaled) value, in order. The method must be bound here:
+/// the track-pool key binds only the scheduler, so configurations that
+/// differ only in clustering share one track and its memo.
+// eagleeye-lint: digest-of(GroundPoint)
+pub(super) fn cluster_digest(
+    method: ClusteringMethod,
+    box_w_m: f64,
+    box_h_m: f64,
+    points: &[(GroundPoint, f64)],
+) -> u64 {
+    let method_byte: u64 = match method {
+        ClusteringMethod::Ilp => 0,
+        ClusteringMethod::Greedy => 1,
+        ClusteringMethod::None => 2,
+    };
+    let mut h = ScenarioHasher::new();
+    h.str("eagleeye-core/cluster/v1")
+        .u64(method_byte)
+        .f64(box_w_m)
+        .f64(box_h_m)
+        .u64(points.len() as u64);
+    for (p, value) in points {
+        h.f64(p.cross_m).f64(p.along_m).f64(*value);
+    }
+    h.finish()
+}
+
 /// Digest of every input a horizon solve (including fault repair)
 /// depends on, beyond the track-pool key already binding the options
 /// that do not flow through these per-frame inputs. Two horizons with
@@ -467,6 +531,10 @@ pub struct CompileStats {
     pub memo_hits: u64,
     /// Horizon solves executed live (and recorded for future replay).
     pub memo_misses: u64,
+    /// Frame clusterings reused from the memo instead of re-clustered.
+    pub cluster_hits: u64,
+    /// Frame clusterings computed live (and recorded for reuse).
+    pub cluster_misses: u64,
 }
 
 /// The evaluator's compiled-program cache: one [`CompiledScenario`] per
@@ -490,6 +558,8 @@ pub(super) struct CompileCache {
     track_shares: AtomicU64,
     memo_hits: AtomicU64,
     memo_misses: AtomicU64,
+    cluster_hits: AtomicU64,
+    cluster_misses: AtomicU64,
 }
 
 impl CompileCache {
@@ -545,6 +615,16 @@ impl CompileCache {
         self.memo_misses.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Counts one frame clustering reused from the memo.
+    pub fn note_cluster_hit(&self) {
+        self.cluster_hits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one frame clustering computed live.
+    pub fn note_cluster_miss(&self) {
+        self.cluster_misses.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Snapshot of the reuse counters.
     pub fn stats(&self) -> CompileStats {
         CompileStats {
@@ -553,6 +633,8 @@ impl CompileCache {
             track_shares: self.track_shares.load(Ordering::Relaxed),
             memo_hits: self.memo_hits.load(Ordering::Relaxed),
             memo_misses: self.memo_misses.load(Ordering::Relaxed),
+            cluster_hits: self.cluster_hits.load(Ordering::Relaxed),
+            cluster_misses: self.cluster_misses.load(Ordering::Relaxed),
         }
     }
 }
@@ -563,6 +645,48 @@ mod tests {
     use eagleeye_datasets::Target;
     use eagleeye_geo::GeodeticPoint;
     use eagleeye_orbit::{ConstellationLayout, EpochGrid};
+
+    /// Changing any one input `cluster()` reads — the method, either box
+    /// side, the point count, or one point's cross, along or value —
+    /// changes the clustering digest. Within one track, point sets that
+    /// differ in a single coordinate never occur naturally, so the
+    /// end-to-end suites cannot catch a coordinate missing from the key.
+    #[test]
+    fn cluster_digest_binds_every_input() {
+        let points = vec![
+            (GroundPoint::new(1_000.0, -2_000.0), 1.0),
+            (GroundPoint::new(4_000.0, 3_000.0), 0.5),
+        ];
+        let base = cluster_digest(ClusteringMethod::Ilp, 10_000.0, 10_000.0, &points);
+        assert_eq!(
+            base,
+            cluster_digest(ClusteringMethod::Ilp, 10_000.0, 10_000.0, &points.clone())
+        );
+        let mut variants = vec![
+            cluster_digest(ClusteringMethod::Greedy, 10_000.0, 10_000.0, &points),
+            cluster_digest(ClusteringMethod::None, 10_000.0, 10_000.0, &points),
+            cluster_digest(ClusteringMethod::Ilp, 9_000.0, 10_000.0, &points),
+            cluster_digest(ClusteringMethod::Ilp, 10_000.0, 9_000.0, &points),
+            cluster_digest(ClusteringMethod::Ilp, 10_000.0, 10_000.0, &points[..1]),
+        ];
+        for edit in 0..3 {
+            let mut p = points.clone();
+            match edit {
+                0 => p[1].0.cross_m += 1.0,
+                1 => p[1].0.along_m += 1.0,
+                _ => p[1].1 *= 0.5,
+            }
+            variants.push(cluster_digest(
+                ClusteringMethod::Ilp,
+                10_000.0,
+                10_000.0,
+                &p,
+            ));
+        }
+        for (i, d) in variants.iter().enumerate() {
+            assert_ne!(*d, base, "variant {i} collides with the base digest");
+        }
+    }
 
     /// One satellite over three hours crosses the high latitudes on
     /// consecutive orbits, and a 1,000 km wide box makes targets there

@@ -1,6 +1,6 @@
 use super::compile::{
-    horizon_digest, membership_chunk, CompileCache, CompileGeometry, CompileStats,
-    CompiledScenario, CompiledTrack, IntervalSweep, SolvedHorizon, SolvedOutcome,
+    cluster_digest, horizon_digest, membership_chunk, CompileCache, CompileGeometry, CompileStats,
+    CompiledScenario, CompiledTrack, FrameClusters, IntervalSweep, SolvedHorizon, SolvedOutcome,
 };
 use super::harden::{decode_leader_payload, encode_leader_payload};
 use super::{
@@ -8,7 +8,7 @@ use super::{
     SchedulerKind,
 };
 use crate::clustering::{cluster, ClusteringMethod};
-use crate::pointing::TimeWindow;
+use crate::pointing::{GroundPoint, TimeWindow};
 use crate::schedule::{
     AbbScheduler, FollowerState, GreedyScheduler, IlpScheduler, ResilientScheduler, Schedule,
     Scheduler, SchedulingProblem, SolverChoice, SolverTier, TaskSpec,
@@ -203,10 +203,11 @@ impl<'a> CoverageEvaluator<'a> {
     }
 
     /// Reuse counters of the compiled-program cache: tracks built vs.
-    /// reused (a reuse skips propagation and membership entirely) and
-    /// horizon solves replayed from the memo vs. solved live. All zero
-    /// until the first evaluation; `track_reuses` and `memo_hits` grow
-    /// only on repeated evaluations of the same configuration.
+    /// reused (a reuse skips propagation and membership entirely),
+    /// horizon solves replayed from the memo vs. solved live, and frame
+    /// clusterings reused vs. clustered live. All zero until the first
+    /// evaluation; `track_reuses`, `memo_hits` and `cluster_hits` grow
+    /// only when later evaluations present already-seen inputs.
     pub fn compile_stats(&self) -> CompileStats {
         self.compile.stats()
     }
@@ -273,6 +274,8 @@ impl<'a> CoverageEvaluator<'a> {
         m.gauge_max("core/compile/track_shares", s.track_shares as f64);
         m.gauge_max("core/compile/memo_hits", s.memo_hits as f64);
         m.gauge_max("core/compile/memo_misses", s.memo_misses as f64);
+        m.gauge_max("core/compile/cluster_hits", s.cluster_hits as f64);
+        m.gauge_max("core/compile/cluster_misses", s.cluster_misses as f64);
     }
 
     /// The compiled-program cache key of one scenario: configuration
@@ -1114,7 +1117,7 @@ impl<'a> CoverageEvaluator<'a> {
         let peak = track.as_ref().map_or(0, |t| t.peak_frame_entries);
         let mut in_frame: Vec<(usize, f64, f64)> = Vec::with_capacity(peak);
         let mut detected: Vec<(usize, f64, f64)> = Vec::with_capacity(peak);
-        let mut points: Vec<(crate::pointing::GroundPoint, f64)> = Vec::with_capacity(peak);
+        let mut points: Vec<(GroundPoint, f64)> = Vec::with_capacity(peak);
         let mut failed: Vec<usize> = Vec::with_capacity(n_followers);
         let mut active: Vec<usize> = Vec::with_capacity(n_followers);
 
@@ -1214,19 +1217,34 @@ impl<'a> CoverageEvaluator<'a> {
                         value *= p.clamp(0.0, 1.0);
                     }
                 }
-                (crate::pointing::GroundPoint::new(x, y), value)
+                (GroundPoint::new(x, y), value)
             }));
+            // `cluster()` is a pure function of the digested points, so
+            // the compiled track memoizes each frame's result and a warm
+            // evaluation or what-if that detects the same points reuses
+            // it instead of re-solving the clustering ILP.
             let clu_sw = Stopwatch::start();
-            let mut clusters = cluster(&points, high_swath, high_swath, clustering_method)?;
+            let clusters = match &track {
+                Some(tr) => {
+                    let key = cluster_digest(clustering_method, high_swath, high_swath, &points);
+                    match tr.clusters_get(key) {
+                        Some(hit) => {
+                            self.compile.note_cluster_hit();
+                            hit
+                        }
+                        None => {
+                            self.compile.note_cluster_miss();
+                            tr.clusters_put(
+                                key,
+                                frame_clusters(&points, high_swath, clustering_method)?,
+                            )
+                        }
+                    }
+                }
+                None => frame_clusters(&points, high_swath, clustering_method)?,
+            };
             report.clustering_time += clu_sw.elapsed();
             report.per_frame_cluster_counts.push(clusters.len());
-
-            // Keep the most valuable clusters up to the cap (shrunk
-            // further when a radio-derate fault limits task uplink).
-            if clusters.len() > task_cap {
-                clusters.sort_by(|a, b| b.value.total_cmp(&a.value));
-                clusters.truncate(task_cap);
-            }
 
             // Build the scheduling problem in absolute along-track
             // coordinates so follower state carries across frames.
@@ -1234,10 +1252,16 @@ impl<'a> CoverageEvaluator<'a> {
             // `tasks` and `follower_states` are consumed by value by the
             // scheduling problem, so their allocations cannot be reused
             // across frames the way the scratch buffers above are.
-            let tasks: Vec<TaskSpec> = clusters
+            let mut tasks: Vec<TaskSpec> = clusters
                 .iter()
-                .map(|c| TaskSpec::new(c.center.cross_m, along_origin + c.center.along_m, c.value))
+                .map(|&(c, value)| TaskSpec::new(c.cross_m, along_origin + c.along_m, value))
                 .collect();
+            // Keep the most valuable clusters up to the cap (shrunk
+            // further when a radio-derate fault limits task uplink).
+            if tasks.len() > task_cap {
+                tasks.sort_by(|a, b| b.value.total_cmp(&a.value));
+                tasks.truncate(task_cap);
+            }
             failed.clear();
             if let Some(f) = self.options.failure.as_ref().filter(|f| t >= f.fail_at_s) {
                 failed.extend_from_slice(&f.failed_followers);
@@ -1330,8 +1354,7 @@ impl<'a> CoverageEvaluator<'a> {
                 SchedulingProblem::new_with_clip(frame_spec, tasks, follower_states, clip)?;
             let memo = digest.as_ref().and_then(|(tr, d)| tr.solved_get(*d));
             let sched_sw = Stopwatch::start();
-            let mut schedule;
-            if let Some(hit) = memo {
+            let solved = if let Some(hit) = memo {
                 // Replay: apply exactly the report mutations the live
                 // solve made, then reuse its post-repair schedule.
                 self.compile.note_memo_hit();
@@ -1353,7 +1376,7 @@ impl<'a> CoverageEvaluator<'a> {
                 report.repairs_attempted += hit.repairs_attempted;
                 report.tasks_dropped_by_failures += hit.dropped_tasks;
                 report.tasks_reassigned += hit.reassigned_tasks;
-                schedule = hit.schedule;
+                hit
             } else {
                 if digest.is_some() {
                     self.compile.note_memo_miss();
@@ -1366,7 +1389,7 @@ impl<'a> CoverageEvaluator<'a> {
                     dropped_tasks: 0,
                     reassigned_tasks: 0,
                 };
-                schedule = match &scheduler {
+                solved.schedule = match &scheduler {
                     ActiveScheduler::Plain(s) => s.schedule(&problem)?,
                     ActiveScheduler::Ilp(s) => {
                         let (schedule, stats) = s.schedule_with_stats(&problem)?;
@@ -1410,27 +1433,29 @@ impl<'a> CoverageEvaluator<'a> {
                 if fault_aware {
                     if let ActiveScheduler::Resilient(rs) = &scheduler {
                         if !repair_failures.is_empty() {
-                            let repaired = rs.repair(&problem, &schedule, &repair_failures)?;
+                            let repaired =
+                                rs.repair(&problem, &solved.schedule, &repair_failures)?;
                             report.repairs_attempted += repair_failures.len();
                             report.tasks_dropped_by_failures += repaired.dropped_tasks;
                             report.tasks_reassigned += repaired.reassigned_tasks;
                             solved.repairs_attempted = repair_failures.len();
                             solved.dropped_tasks = repaired.dropped_tasks;
                             solved.reassigned_tasks = repaired.reassigned_tasks;
-                            schedule = repaired.schedule;
+                            solved.schedule = repaired.schedule;
                         }
                     }
                 }
+                let solved = Arc::new(solved);
                 if let Some((tr, d)) = digest {
-                    solved.schedule = schedule.clone();
-                    tr.solved_put(d, solved);
+                    tr.solved_put(d, solved.clone());
                 }
-            }
+                solved
+            };
 
             // Execute captures: mark every target inside each
             // captured footprint (including undetected ones — the
             // serendipity effect behind Fig. 15).
-            for (slot, seq) in schedule.sequences.iter().enumerate() {
+            for (slot, seq) in solved.schedule.sequences.iter().enumerate() {
                 let k = active[slot];
                 for cap in seq {
                     // A capture commanded to a follower that is out
@@ -1442,9 +1467,8 @@ impl<'a> CoverageEvaluator<'a> {
                         report.captures_lost_to_faults += 1;
                         continue;
                     }
-                    let c = &clusters[cap.task];
-                    let cx = c.center.cross_m;
-                    let cy_abs = along_origin + c.center.along_m;
+                    let c = problem.tasks()[cap.task].point;
+                    let (cx, cy_abs) = (c.cross_m, c.along_m);
                     for &(idx, _, _) in &in_frame {
                         if captured[idx] {
                             continue;
@@ -1468,6 +1492,19 @@ impl<'a> CoverageEvaluator<'a> {
         }
         Ok(())
     }
+}
+
+/// Clusters one frame's detected points, keeping what the frame uses of
+/// each cluster: its footprint center and value, in `cluster()` order.
+fn frame_clusters(
+    points: &[(GroundPoint, f64)],
+    box_m: f64,
+    method: ClusteringMethod,
+) -> Result<FrameClusters, CoreError> {
+    Ok(cluster(points, box_m, box_m, method)?
+        .into_iter()
+        .map(|c| (c.center, c.value))
+        .collect())
 }
 
 /// Deterministic detection roll in `[0, 1)` from (seed, target, frame).

@@ -23,7 +23,7 @@ use eagleeye_core::coverage::{
     FailurePlan, ScenarioDelta, SchedulerKind,
 };
 use eagleeye_core::schedule::SolverTier;
-use eagleeye_datasets::{Target, TargetSet};
+use eagleeye_datasets::{ShipGenerator, Target, TargetSet};
 use eagleeye_geo::GeodeticPoint;
 use eagleeye_sim::{FaultKind, FaultPlan};
 use std::sync::Arc;
@@ -458,4 +458,127 @@ fn warm_evaluation_reproduces_cold_report() {
     // And the greedy schedule genuinely differs from ILP here, which
     // would be masked if the memo leaked across configs.
     let _ = greedy;
+}
+
+/// Clumps of five targets a few kilometres apart, strung under the
+/// first passes of the RAAN-0 orbit: one high-resolution footprint can
+/// cover several members of a clump, so the clustering methods disagree
+/// on what a frame's tasks are.
+fn clumped_targets(seed: u64) -> TargetSet {
+    (0..200)
+        .map(|i| {
+            let clump = i / 5;
+            let lat = -50.0 + 100.0 * clump as f64 / 40.0 + jitter(seed, i, 50, 0.1);
+            let lon = jitter(seed, clump, 51, 3.0) + jitter(seed, i, 52, 0.1);
+            Target::fixed(
+                GeodeticPoint::from_degrees(lat, lon, 0.0).expect("valid"),
+                1.0 + jitter(seed, i, 53, 0.8),
+            )
+        })
+        .collect()
+}
+
+/// Configurations that differ only in clustering share pooled tracks
+/// (the pool key binds the scheduler, not the clustering method), and
+/// with them each track's clustering memo. Every evaluation on the
+/// shared evaluator, cold and warm, must equal a fresh evaluator's, and
+/// the warm round must reuse memoized clusterings without computing
+/// new ones.
+#[test]
+fn clustering_memo_never_crosses_methods() {
+    let targets = clumped_targets(5);
+    let options = CoverageOptions {
+        duration_s: 1_800.0,
+        recall: 0.9,
+        seed: 5,
+        ..CoverageOptions::default()
+    };
+    let config = |clustering| ConstellationConfig::EagleEye {
+        groups: 3,
+        followers_per_group: 1,
+        scheduler: SchedulerKind::Ilp,
+        clustering,
+    };
+    let methods = [
+        ClusteringMethod::Ilp,
+        ClusteringMethod::Greedy,
+        ClusteringMethod::None,
+    ];
+    let fresh: Vec<CoverageReport> = methods
+        .iter()
+        .map(|&m| {
+            CoverageEvaluator::new(&targets, options.clone())
+                .evaluate(&config(m))
+                .expect("fresh evaluation")
+        })
+        .collect();
+    assert_ne!(
+        fresh[0].per_frame_cluster_counts, fresh[2].per_frame_cluster_counts,
+        "the workload must give ILP and no clustering different tasks"
+    );
+
+    let eval = CoverageEvaluator::new(&targets, options);
+    let mut cold = eval.compile_stats();
+    for round in ["cold", "warm"] {
+        for (&m, want) in methods.iter().zip(&fresh) {
+            let got = eval.evaluate(&config(m)).expect("shared evaluation");
+            assert!(
+                got.same_outcome(want),
+                "{round} {m:?} diverged from a fresh evaluator:\nfresh: {want:?}\nshared: {got:?}"
+            );
+        }
+        if round == "cold" {
+            cold = eval.compile_stats();
+            assert!(cold.track_shares > 0, "methods must share pooled tracks");
+            assert!(cold.cluster_misses > 0, "cold round must cluster live");
+        }
+    }
+    let warm = eval.compile_stats();
+    assert!(
+        warm.cluster_hits > cold.cluster_hits,
+        "warm round must reuse memoized clusterings"
+    );
+    assert_eq!(
+        warm.cluster_misses, cold.cluster_misses,
+        "warm round must not cluster live"
+    );
+}
+
+/// A recapture what-if scales the values of already-captured targets
+/// but moves no point, and the child adopts the parent's tracks with
+/// their clustering memos. The clustering key must bind the values, or
+/// the child would reuse the parent's unscaled cluster values. Leaders
+/// in adjacent phase slots overlap their swaths, so later leaders see
+/// targets that earlier ones captured.
+#[test]
+fn clustering_memo_rebinds_recapture_values() {
+    let targets = ShipGenerator::new().with_count(4_000).generate(11);
+    let options = CoverageOptions {
+        duration_s: 1_800.0,
+        seed: 5,
+        layout_slots: Some(40),
+        ..CoverageOptions::default()
+    };
+    let config = ConstellationConfig::EagleEye {
+        groups: 2,
+        followers_per_group: 1,
+        scheduler: SchedulerKind::Ilp,
+        clustering: ClusteringMethod::Ilp,
+    };
+    let parent = CoverageEvaluator::new(&targets, options.clone());
+    let base = parent.evaluate(&config).expect("parent evaluation");
+    let delta = ScenarioDelta::NudgeRecapture(Some(0.0));
+    let (child, _) = parent.what_if(&config, &delta).expect("what-if");
+    let (child_cfg, child_opts) = delta.apply(&config, &options).expect("delta");
+    let fresh = CoverageEvaluator::new(&targets, child_opts)
+        .evaluate(&child_cfg)
+        .expect("fresh child evaluation");
+    assert!(
+        !fresh.same_outcome(&base),
+        "the penalty must change the outcome, or a stale value would not show"
+    );
+    assert!(
+        child.same_outcome(&fresh),
+        "what-if child diverged from a fresh evaluator:\nfresh: {fresh:?}\nchild: {child:?}"
+    );
 }
